@@ -1,4 +1,4 @@
-"""T4 benchmark: RF vs GEMM-compiled RF-NN (Fig. 2d) at 10K and 200K
+"""T4 benchmark: RF vs TT-compiled RF-NN (Fig. 2d) at 10K and 200K
 rows (CPU; GPU rows are not reproducible here)."""
 import pytest
 

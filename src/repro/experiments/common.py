@@ -89,7 +89,8 @@ def flights_mlp_pipeline(n_train: int = 50_000, seed: int = 0) -> Pipeline:
 
 def chunked_graph_run(session, featurizer, pdf, chunk: int = 50_000) -> np.ndarray:
     """Run a value-graph over a large frame in bounded-memory chunks
-    (GEMM-compiled forests materialize a (rows × leaves) indicator)."""
+    (a compiled forest holds a few (rows × trees) tensors per traversal
+    level)."""
     outs = []
     for s in range(0, len(pdf), chunk):
         feeds = featurizer.transform_codes(pdf.iloc[s : s + chunk])

@@ -3,7 +3,9 @@
 A :class:`Graph` is a DAG over named tensors: ``inputs`` are fed at run
 time, ``initializers`` are baked-in weights, ``nodes`` compute new
 tensors, ``outputs`` name the results. Execution is a topological
-interpretation with numpy kernels (``ops.KERNELS``).
+interpretation with numpy kernels (``ops.KERNELS``) that drops each
+intermediate after its last consumer has run, so a batch holds only
+the live tensors.
 """
 from __future__ import annotations
 
@@ -44,11 +46,17 @@ class Graph:
 
     def toposorted(self) -> list[Node]:
         """Topological order of nodes (stable; raises on cycles or
-        references to undefined tensors). Cached per node-list identity
-        — sessions re-run the same graph thousands of times."""
-        cached = self.__dict__.get("_topo_cache")
-        if cached is not None and cached[0] is self.nodes:
-            return cached[1]
+        references to undefined tensors)."""
+        return [n for n, _ in self._schedule()]
+
+    def _schedule(self) -> list[tuple[Node, tuple[str, ...]]]:
+        """Topological order, each node paired with the intermediates
+        whose last use it is (``run`` drops them once it has run).
+        Cached per node-list identity and outputs — sessions re-run the
+        same graph thousands of times."""
+        cached = self.__dict__.get("_schedule_cache")
+        if cached is not None and cached[0] is self.nodes and cached[1] == self.outputs:
+            return cached[2]
         avail = set(self.inputs) | set(self.initializers)
         remaining = list(self.nodes)
         ordered: list[Node] = []
@@ -70,8 +78,18 @@ class Graph:
                     f"graph has a cycle or undefined tensors: {sorted(missing)}"
                 )
             remaining = still
-        self.__dict__["_topo_cache"] = (self.nodes, ordered)
-        return ordered
+        last_use: dict[str, int] = {}
+        for k, n in enumerate(ordered):
+            last_use[n.output] = k  # an unread intermediate dies at once
+            for i in n.inputs:
+                last_use[i] = k
+        release: list[list[str]] = [[] for _ in ordered]
+        for n in ordered:
+            if n.output not in self.outputs:
+                release[last_use[n.output]].append(n.output)
+        schedule = [(n, tuple(r)) for n, r in zip(ordered, release)]
+        self.__dict__["_schedule_cache"] = (self.nodes, list(self.outputs), schedule)
+        return schedule
 
     def validate(self) -> None:
         """Check structural invariants: unique tensor names, known ops,
@@ -98,10 +116,12 @@ class Graph:
             if name not in feeds:
                 raise KeyError(f"missing input {name!r}")
             env[name] = np.asarray(feeds[name])
-        for node in self.toposorted():
+        for node, dead in self._schedule():
             env[node.output] = KERNELS[node.op_type](
                 [env[i] for i in node.inputs], node.attrs
             )
+            for t in dead:
+                del env[t]
         return {o: env[o] for o in self.outputs}
 
     def n_ops(self) -> int:

@@ -3,9 +3,10 @@
 Each kernel is a pure function ``(inputs: list[np.ndarray], attrs:
 dict) -> np.ndarray`` registered in ``KERNELS`` by op_type. The set
 mirrors the slice of ONNX needed by the paper's translated models:
-GEMM-compiled trees (MatMul/LessOrEqual/Equal/Cast), linear models
-(MatMul/Add/Sigmoid), MLPs (Relu), featurizers (OneHot/Concat/Sub/Div)
-and output shaping (ArgMax/ReduceMean/Reshape/Gather).
+tree-traversal-compiled trees and forests (Gather/GatherElements/
+LessOrEqual/Where/ReduceSum), linear models (MatMul/Add/Sigmoid), MLPs
+(Gemm/Relu), featurizers (OneHot/Concat/Sub/Div) and output shaping
+(ArgMax/ReduceMean/Reshape).
 """
 from __future__ import annotations
 
@@ -134,7 +135,15 @@ def _transpose(ins, attrs):
 @register("Gather")
 def _gather(ins, attrs):
     # take rows of ins[0] indexed by ins[1] along axis (default 0)
-    return np.take(ins[0], ins[1].astype(np.int64), axis=attrs.get("axis", 0))
+    return np.take(ins[0], np.asarray(ins[1], dtype=np.int64), axis=attrs.get("axis", 0))
+
+
+@register("GatherElements")
+def _gather_elements(ins, attrs):
+    # out[i][j] = ins[0][i][ins[1][i][j]] for axis=1; same rank as ins[1]
+    return np.take_along_axis(
+        ins[0], np.asarray(ins[1], dtype=np.int64), axis=attrs.get("axis", 0)
+    )
 
 
 @register("OneHot")

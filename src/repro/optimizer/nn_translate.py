@@ -1,7 +1,9 @@
 """NN translation rule (§4.2): swap MLPredict (classical MLD operator)
-for NNPredict (an onnxlite LA graph). The graph runs batch GEMMs
-instead of per-tree traversal — the executor can then choose the NN
-engine for this operator, as Raven's runtime selection does."""
+for NNPredict (an onnxlite LA graph). Trees and forests become batched
+tree-traversal tensor ops (every tree of a forest advances one level per
+op, see ``onnxlite.convert``), linear models and MLPs become GEMMs — the
+executor can then choose the NN engine for this operator, as Raven's
+runtime selection does."""
 from __future__ import annotations
 
 import copy

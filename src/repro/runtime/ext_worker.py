@@ -23,8 +23,8 @@ def main(task_path: str, in_path: str, out_path: str) -> None:
     pdf = pd.read_parquet(in_path)
     sess = InferenceSession(task["model_path"])
     feat = task["featurizer"]
-    # bounded-memory chunks: GEMM-compiled forests materialize a
-    # (rows × leaves) indicator per tree
+    # bounded-memory chunks: a compiled forest holds a few (rows × trees)
+    # tensors per traversal level
     parts = []
     for s in range(0, len(pdf), 50_000):
         out = sess.run(feat.transform_codes(pdf.iloc[s : s + 50_000]))

@@ -1,5 +1,7 @@
 """Unit tests for onnxlite kernels, graph execution, optimizer, and
 serialization."""
+import weakref
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,11 @@ class TestKernels:
             [np.array([True, False]), np.array([1.0, 1.0]), np.array([2.0, 2.0])], {}
         )
         np.testing.assert_allclose(out, [1.0, 2.0])
+
+    def test_gather_elements_axis1(self):
+        X = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        out = KERNELS["GatherElements"]([X, [[2, 0], [1, 1]]], {"axis": 1})
+        np.testing.assert_allclose(out, [[3.0, 1.0], [5.0, 5.0]])
 
     def test_cast(self):
         out = KERNELS["Cast"]([np.array([True, False])], {"to": "float64"})
@@ -117,6 +124,32 @@ class TestGraph:
         g.nodes = list(reversed(g.nodes))
         out = g.run({"X": np.array([[1.0, 0.0]])})
         np.testing.assert_allclose(out["y"], [[1.5]])
+
+    def test_run_drops_intermediates_after_last_use(self, monkeypatch):
+        refs = {}
+
+        def matmul(ins, attrs):
+            out = ins[0] @ ins[1]
+            refs["xw"] = weakref.ref(out)
+            return out
+
+        def relu(ins, attrs):
+            refs["xw_alive_at_relu"] = refs["xw"]() is not None
+            return np.maximum(ins[0], 0.0)
+
+        monkeypatch.setitem(KERNELS, "MatMul", matmul)
+        monkeypatch.setitem(KERNELS, "Relu", relu)
+        out = _affine_graph().run({"X": np.array([[1.0, 0.0]])})
+        assert refs["xw_alive_at_relu"] is False
+        np.testing.assert_allclose(out["y"], [[1.5]])
+
+    def test_output_read_downstream_is_kept(self):
+        g = _affine_graph()
+        g.nodes = g.nodes + [Node("Neg", ["y"], "ny")]
+        g.outputs = ["y", "ny"]
+        out = g.run({"X": np.array([[1.0, 0.0]])})
+        np.testing.assert_allclose(out["y"], [[1.5]])
+        np.testing.assert_allclose(out["ny"], [[-1.5]])
 
     def test_cycle_detection(self):
         g = Graph(

@@ -12,7 +12,7 @@ from repro.miniml import (
     RandomForest,
     TableFeaturizer,
 )
-from repro.onnxlite import clear_session_cache
+from repro.onnxlite import clear_session_cache, get_cached_session, save_graph
 from repro.onnxlite.convert import pipeline_to_graph
 from repro.oracle import assert_equivalent
 from repro.runtime import ModelStore, force, measure, to_dataframe
@@ -185,3 +185,30 @@ class TestExecutionModes:
                              classes=pipe.model.classes_)
         want = pipe.predict(fl.head(100)).astype(float)
         np.testing.assert_allclose(out, want)
+
+    def test_traversal_forest_roundtrip(self, spark, tmp_path):
+        # a tree-traversal forest graph through the on-disk format, the
+        # session cache and both in-process executors
+        fl = flights.frame(2000, seed=9)
+        pipe = Pipeline(
+            TableFeaturizer(numeric_cols=flights.NUMERIC, categorical_cols=flights.CATEGORICAL),
+            RandomForest(n_trees=4, max_depth=5, max_features=0.7, seed=1),
+        ).fit(fl, fl["delayed"].to_numpy())
+        g = pipeline_to_graph(pipe)
+        path = save_graph(g, str(tmp_path / "rf"))
+        clear_session_cache()
+        loaded = get_cached_session(path).graph.initializers
+        ints = [k for k, v in g.initializers.items() if v.dtype == np.int64]
+        assert {"tt_feat", "tt_left", "tt_right"} <= set(ints)
+        for k in ints:
+            assert loaded[k].dtype == np.int64
+            np.testing.assert_array_equal(loaded[k], g.initializers[k])
+        want = pipe.predict_proba(fl)[:, 1]
+        np.testing.assert_allclose(ort_standalone(fl, path, pipe.featurizer), want,
+                                   rtol=0, atol=1e-12)
+        out_df = raven_inprocess(spark.createDataFrame(fl), path, pipe.featurizer, "p")
+        got = out_df.select("flight_id", "p").toPandas().sort_values("flight_id")
+        np.testing.assert_allclose(
+            got["p"].to_numpy(), pipe.predict_proba(fl.sort_values("flight_id"))[:, 1],
+            rtol=0, atol=1e-12,
+        )
