@@ -6,18 +6,30 @@ rules can rewrite them (prune a tree, slice a weight vector, fold a
 one-hot block): that is the whole point of a *unified* IR — the
 optimizer sees model internals and data operators in one DAG.
 
-Every predict-style node implements ``predict_pandas(pdf) -> np.ndarray``
-— the single place its semantics live. The Spark codegen wraps it in
-``mapInPandas``; tests call it directly; the per-tuple baseline loops it.
+Every one-input node (Filter, Project, UDFNode and the predict nodes)
+derives from ``Unary``, which owns ``child``/``children``. The three
+scoring operators — ``MLPredict`` (miniml pipeline), ``NNPredict``
+(onnxlite graph) and ``ClusteredPredict`` (per-cluster pipelines) —
+derive from ``Predict``: each appends ``output_col`` to its child's rows
+and implements ``predict_pandas(pdf) -> np.ndarray``, the single place
+its semantics live. The Spark codegen wraps it in ``mapInPandas``; tests
+call it directly; the per-tuple baseline loops it. Code that treats all
+scoring operators alike tests ``isinstance(node, Predict)``.
+
+Nodes are immutable once built: rewrites copy a node before changing it,
+and ``with_children`` returns the node itself when no child changed, so
+a rewrite that changed nothing hands back the very same plan object.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
 
 from repro.ir.expr import Expr
+from repro.onnxlite.convert import graph_prediction
 
 
 @dataclass(repr=False)
@@ -41,15 +53,31 @@ class PlanNode:
     children: list["PlanNode"]
 
     def with_children(self, children: list["PlanNode"]) -> "PlanNode":
-        """Shallow copy with replaced children (used by plan rewrites)."""
-        import copy
-
+        """Shallow copy with replaced children (used by plan rewrites);
+        ``self`` when every child is already in place."""
+        children = list(children)
+        if children == self.children:  # eq=False nodes: compares identity
+            return self
         node = copy.copy(self)
-        node.children = list(children)
+        node.children = children
         return node
 
     def label(self) -> str:
         return type(self).__name__
+
+
+class Unary(PlanNode):
+    """A node with exactly one input, ``child``."""
+
+    child: PlanNode
+
+    @property
+    def children(self) -> list[PlanNode]:
+        return [self.child]
+
+    @children.setter
+    def children(self, cs: list[PlanNode]) -> None:
+        (self.child,) = cs
 
 
 @dataclass(eq=False)
@@ -62,37 +90,21 @@ class Scan(PlanNode):
 
 
 @dataclass(eq=False)
-class Filter(PlanNode):
+class Filter(Unary):
     child: PlanNode
     predicate: Expr
-
-    @property
-    def children(self) -> list[PlanNode]:
-        return [self.child]
-
-    @children.setter
-    def children(self, cs: list[PlanNode]) -> None:
-        (self.child,) = cs
 
     def label(self) -> str:
         return f"Filter({self.predicate.to_sql()})"
 
 
 @dataclass(eq=False)
-class Project(PlanNode):
+class Project(Unary):
     """Projection with optional computed columns: ``exprs`` maps output
     name → expression (a bare ``Col`` for passthrough)."""
 
     child: PlanNode
     exprs: list[tuple[str, Expr]]
-
-    @property
-    def children(self) -> list[PlanNode]:
-        return [self.child]
-
-    @children.setter
-    def children(self, cs: list[PlanNode]) -> None:
-        (self.child,) = cs
 
     @property
     def output_names(self) -> list[str]:
@@ -136,18 +148,42 @@ class Union(PlanNode):
         return f"Union({len(self.children)})"
 
 
-def _series(values: np.ndarray, name: str) -> pd.DataFrame:
-    return pd.DataFrame({name: values})
+class Predict(Unary):
+    """A scoring operator: appends ``output_col`` = ``predict_pandas`` of
+    the child's rows, reading the columns ``input_cols``. ``kind``
+    selects what to emit: ``label`` (predicted class / regression
+    value), ``proba`` (P[class 1]) or ``score`` (margin)."""
+
+    model_name: str
+    output_col: str
+    kind: str
+
+    @property
+    def input_cols(self) -> list[str]:
+        raise NotImplementedError
+
+    def predict_pandas(self, pdf: pd.DataFrame) -> np.ndarray:
+        raise NotImplementedError
+
+    def label(self) -> str:
+        return f"{type(self).__name__}({self.model_name}→{self.output_col})"
+
+
+def _pipeline_prediction(pipeline, pdf: pd.DataFrame, kind: str) -> np.ndarray:
+    """Score ``pdf`` with a miniml ``Pipeline``, emitting ``kind``."""
+    if kind == "label":
+        return np.asarray(pipeline.predict(pdf), dtype=np.float64)
+    if kind == "proba":
+        return pipeline.predict_proba(pdf)[:, 1]
+    if kind == "score":
+        return np.asarray(pipeline.decision_function(pdf), dtype=np.float64)
+    raise ValueError(f"bad kind {kind!r}")
 
 
 @dataclass(eq=False)
-class MLPredict(PlanNode):
+class MLPredict(Predict):
     """Classical-ML scoring (MLD operator): a miniml ``Pipeline``
-    applied to the child's rows, appending column ``output_col``.
-
-    ``kind`` selects what to emit: ``label`` (predicted class /
-    regression value), ``proba`` (P[class 1]) or ``score`` (margin).
-    """
+    applied to the child's rows."""
 
     child: PlanNode
     model_name: str
@@ -156,32 +192,15 @@ class MLPredict(PlanNode):
     kind: str = "label"
 
     @property
-    def children(self) -> list[PlanNode]:
-        return [self.child]
-
-    @children.setter
-    def children(self, cs: list[PlanNode]) -> None:
-        (self.child,) = cs
-
-    @property
     def input_cols(self) -> list[str]:
         return list(self.pipeline.input_cols)
 
     def predict_pandas(self, pdf: pd.DataFrame) -> np.ndarray:
-        if self.kind == "label":
-            return np.asarray(self.pipeline.predict(pdf), dtype=np.float64)
-        if self.kind == "proba":
-            return self.pipeline.predict_proba(pdf)[:, 1]
-        if self.kind == "score":
-            return np.asarray(self.pipeline.decision_function(pdf), dtype=np.float64)
-        raise ValueError(f"bad kind {self.kind!r}")
-
-    def label(self) -> str:
-        return f"MLPredict({self.model_name}→{self.output_col})"
+        return _pipeline_prediction(self.pipeline, pdf, self.kind)
 
 
 @dataclass(eq=False)
-class NNPredict(PlanNode):
+class NNPredict(Predict):
     """LA-operator scoring: an onnxlite graph fed through the
     featurizer's code/numeric inputs (NN-translated pipeline)."""
 
@@ -194,44 +213,16 @@ class NNPredict(PlanNode):
     classes: np.ndarray | None = None  # for label output of tree/forest graphs
 
     @property
-    def children(self) -> list[PlanNode]:
-        return [self.child]
-
-    @children.setter
-    def children(self, cs: list[PlanNode]) -> None:
-        (self.child,) = cs
-
-    @property
     def input_cols(self) -> list[str]:
         return list(self.featurizer.input_cols)
 
     def predict_pandas(self, pdf: pd.DataFrame) -> np.ndarray:
         out = self.graph.run(self.featurizer.transform_codes(pdf))
-        if "value" in out:  # tree/forest value matrix
-            v = out["value"]
-            if self.kind == "label":
-                if self.classes is not None:
-                    return np.asarray(self.classes, dtype=np.float64)[
-                        np.argmax(v, axis=1)
-                    ]
-                return v[:, 0]
-            if self.kind == "proba":
-                return v[:, 1]
-            raise ValueError(f"kind {self.kind!r} unsupported for value graphs")
-        if self.kind == "proba":
-            return out["proba"]
-        if self.kind == "score":
-            return out["score"]
-        if self.kind == "label":
-            return (out["score"] > 0).astype(np.float64)
-        raise ValueError(f"bad kind {self.kind!r}")
-
-    def label(self) -> str:
-        return f"NNPredict({self.model_name}→{self.output_col})"
+        return graph_prediction(out, self.kind, self.classes)
 
 
 @dataclass(eq=False)
-class ClusteredPredict(PlanNode):
+class ClusteredPredict(Predict):
     """Model-clustering execution: route each row to its (offline
     k-means) cluster and score with that cluster's precompiled model."""
 
@@ -241,14 +232,6 @@ class ClusteredPredict(PlanNode):
     cluster_pipelines: list  # per-cluster miniml.Pipeline
     output_col: str
     kind: str = "proba"
-
-    @property
-    def children(self) -> list[PlanNode]:
-        return [self.child]
-
-    @children.setter
-    def children(self, cs: list[PlanNode]) -> None:
-        (self.child,) = cs
 
     @property
     def input_cols(self) -> list[str]:
@@ -264,14 +247,8 @@ class ClusteredPredict(PlanNode):
         out = np.empty(len(pdf), dtype=np.float64)
         for cid in np.unique(cids):
             mask = cids == cid
-            sub = pdf.loc[mask]
             pipe = self.cluster_pipelines[int(cid)]
-            if self.kind == "proba":
-                out[mask] = pipe.predict_proba(sub)[:, 1]
-            elif self.kind == "score":
-                out[mask] = pipe.decision_function(sub)
-            else:
-                out[mask] = np.asarray(pipe.predict(sub), dtype=np.float64)
+            out[mask] = _pipeline_prediction(pipe, pdf.loc[mask], self.kind)
         return out
 
     def label(self) -> str:
@@ -279,7 +256,7 @@ class ClusteredPredict(PlanNode):
 
 
 @dataclass(eq=False)
-class UDFNode(PlanNode):
+class UDFNode(Unary):
     """Black-box Python over pandas batches: ``fn(pdf) -> pdf``. The
     static analyzer emits this for code it cannot map to IR operators."""
 
@@ -288,14 +265,6 @@ class UDFNode(PlanNode):
     description: str = "udf"
     # columns the UDF reads; None = unknown → treat as "all" (blocks pushdown)
     required_cols: list[str] | None = None
-
-    @property
-    def children(self) -> list[PlanNode]:
-        return [self.child]
-
-    @children.setter
-    def children(self, cs: list[PlanNode]) -> None:
-        (self.child,) = cs
 
     def label(self) -> str:
         return f"UDF({self.description})"

@@ -5,18 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from repro.ir.ops import (
-    ClusteredPredict,
-    Filter,
-    Join,
-    MLPredict,
-    NNPredict,
-    PlanNode,
-    Project,
-    Scan,
-    UDFNode,
-    Union,
-)
+from repro.ir.ops import Filter, Join, PlanNode, Predict, Project, Scan, UDFNode, Union
 
 
 @dataclass
@@ -42,19 +31,17 @@ def walk(node: PlanNode) -> Iterator[PlanNode]:
 
 
 def transform_bottom_up(node: PlanNode, fn: Callable[[PlanNode], PlanNode]) -> PlanNode:
-    """Rebuild the plan bottom-up, applying ``fn`` at every node."""
-    new_children = [transform_bottom_up(c, fn) for c in node.children]
-    if new_children != node.children:
-        node = node.with_children(new_children)
-    return fn(node)
+    """Rebuild the plan bottom-up, applying ``fn`` at every node. A node
+    is copied only when a child changed, so the result ``is node`` unless
+    some ``fn`` call returned a new node (the model of Catalyst's
+    ``transformUp``)."""
+    return fn(node.with_children([transform_bottom_up(c, fn) for c in node.children]))
 
 
 def output_columns(node: PlanNode, catalog: Catalog) -> list[str]:
     """Schema propagation: the column list each node produces."""
     if isinstance(node, Scan):
         return list(catalog.schemas[node.table])
-    if isinstance(node, Filter):
-        return output_columns(node.child, catalog)
     if isinstance(node, Project):
         return list(node.output_names)
     if isinstance(node, Join):
@@ -68,11 +55,11 @@ def output_columns(node: PlanNode, catalog: Catalog) -> list[str]:
         return left + [c for c in right if c not in left]
     if isinstance(node, Union):
         return output_columns(node.children[0], catalog)
-    if isinstance(node, (MLPredict, NNPredict, ClusteredPredict)):
+    if isinstance(node, Predict):
         return output_columns(node.child, catalog) + [node.output_col]
-    if isinstance(node, UDFNode):
-        # unknown: assume pass-through (UDF may add columns; callers
-        # that need exactness should not push through UDFs anyway)
+    if isinstance(node, (Filter, UDFNode)):
+        # a UDF's output is unknown: assume pass-through (it may add
+        # columns; callers that need exactness do not push through UDFs)
         return output_columns(node.child, catalog)
     raise TypeError(f"unknown node {type(node).__name__}")
 

@@ -231,3 +231,27 @@ def pipeline_to_graph(pipe: Pipeline) -> Graph:
               initializers=inits, name="pipeline")
     g.validate()
     return g
+
+
+def graph_prediction(out: dict, kind: str, classes=None) -> np.ndarray:
+    """Map a compiled pipeline's outputs to the prediction ``kind`` asks
+    for. Tree/forest graphs emit ``value`` (B, n_out): ``label`` is the
+    argmax over ``classes`` (or the regression column), ``proba`` is
+    column 1. Linear and MLP graphs emit ``score`` and, when logistic,
+    ``proba``; their ``label`` is ``score > 0``."""
+    if "value" in out:
+        v = out["value"]
+        if kind == "label":
+            if classes is not None:
+                return np.asarray(classes, dtype=np.float64)[np.argmax(v, axis=1)]
+            return v[:, 0]
+        if kind == "proba":
+            return v[:, 1]
+        raise ValueError(f"kind {kind!r} unsupported for value graphs")
+    if kind == "proba":
+        return out["proba"]
+    if kind == "score":
+        return out["score"]
+    if kind == "label":
+        return (out["score"] > 0).astype(np.float64)
+    raise ValueError(f"bad kind {kind!r}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 
-from repro.ir.ops import ClusteredPredict, PlanNode
+from repro.ir.ops import ClusteredPredict
 from repro.miniml.kmeans import KMeans
 from repro.miniml.pipeline import Pipeline
 

@@ -150,26 +150,13 @@ class ModelInlining(Rule):
 
     name = "model_inlining"
 
-    def apply(self, plan: PlanNode, catalog: Catalog) -> tuple[PlanNode, bool]:
-        changed_any = False
-
-        def rewrite(node: PlanNode) -> PlanNode:
-            nonlocal changed_any
-            new_children = [rewrite(c) for c in node.children]
-            if new_children != node.children:
-                node = node.with_children(new_children)
-            if isinstance(node, MLPredict) and isinstance(node.pipeline, Pipeline):
-                try:
-                    sql = inline_pipeline_sql(node.pipeline, node.kind)
-                except (TypeError, ValueError):
-                    return node  # not inlinable (e.g. tree over one-hot)
-                child_cols = output_columns(node.child, catalog)
-                exprs = [(c, Col(c)) for c in child_cols]
-                exprs.append(
-                    (node.output_col, SqlExpr(sql, set(node.pipeline.input_cols)))
-                )
-                changed_any = True
-                return Project(node.child, exprs)
+    def rewrite(self, node: PlanNode, catalog: Catalog) -> PlanNode:
+        if not (isinstance(node, MLPredict) and isinstance(node.pipeline, Pipeline)):
             return node
-
-        return rewrite(plan), changed_any
+        try:
+            sql = inline_pipeline_sql(node.pipeline, node.kind)
+        except (TypeError, ValueError):
+            return node  # not inlinable (e.g. tree over one-hot)
+        exprs = [(c, Col(c)) for c in output_columns(node.child, catalog)]
+        exprs.append((node.output_col, SqlExpr(sql, set(node.pipeline.input_cols))))
+        return Project(node.child, exprs)

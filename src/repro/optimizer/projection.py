@@ -112,20 +112,10 @@ class ModelProjectionPushdown(Rule):
 
     name = "model_projection_pushdown"
 
-    def apply(self, plan: PlanNode, catalog: Catalog) -> tuple[PlanNode, bool]:
-        changed_any = False
-
-        def rewrite(node: PlanNode) -> PlanNode:
-            nonlocal changed_any
-            new_children = [rewrite(c) for c in node.children]
-            if new_children != node.children:
-                node = node.with_children(new_children)
-            if isinstance(node, MLPredict) and isinstance(node.pipeline, Pipeline):
-                new_pipe, changed = shrink_pipeline(node.pipeline)
-                if changed:
-                    changed_any = True
-                    node = copy.copy(node)
-                    node.pipeline = new_pipe
-            return node
-
-        return rewrite(plan), changed_any
+    def rewrite(self, node: PlanNode, catalog: Catalog) -> PlanNode:
+        if isinstance(node, MLPredict) and isinstance(node.pipeline, Pipeline):
+            new_pipe, changed = shrink_pipeline(node.pipeline)
+            if changed:
+                node = copy.copy(node)
+                node.pipeline = new_pipe
+        return node

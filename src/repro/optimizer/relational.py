@@ -14,11 +14,11 @@ read filters gathered below predict operators.
 from __future__ import annotations
 
 from repro.ir import (
-    And,
     Col,
     Filter,
     Join,
     PlanNode,
+    Predict,
     Project,
     Scan,
     UDFNode,
@@ -26,27 +26,32 @@ from repro.ir import (
     and_all,
     conjuncts,
 )
-from repro.ir.ops import ClusteredPredict, MLPredict, NNPredict
-from repro.ir.plan import Catalog, output_columns
+from repro.ir.plan import Catalog, output_columns, transform_bottom_up
 from repro.optimizer.rules import Rule
 
-_PREDICTS = (MLPredict, NNPredict, ClusteredPredict)
 
-
-def _push_filter_once(f: Filter, catalog: Catalog) -> tuple[PlanNode, bool]:
-    """Push one Filter one step down, if legal."""
+def _push_filter_once(f: Filter, catalog: Catalog) -> PlanNode:
+    """Push one Filter one step down if legal; ``f`` itself otherwise."""
     child = f.child
     if isinstance(child, Filter):  # merge adjacent filters
-        return Filter(child.child, and_all(conjuncts(f.predicate) + conjuncts(child.predicate))), True
+        return Filter(child.child, and_all(conjuncts(f.predicate) + conjuncts(child.predicate)))
     if isinstance(child, Project):
-        # swap when every referenced column is a passthrough projection
+        # swap when every referenced column is a passthrough projection,
+        # except below a pure column-pruning Project over a Scan: that
+        # gains nothing, and PruneColumns would put the Project back
         passthrough = {
             n for n, e in child.exprs if isinstance(e, Col) and e.name == n
         }
+        if isinstance(child.child, Scan) and len(passthrough) == len(child.exprs):
+            return f
         if f.predicate.columns() <= passthrough:
-            return Project(Filter(child.child, f.predicate), child.exprs), True
-        return f, False
+            return Project(Filter(child.child, f.predicate), child.exprs)
+        return f
     if isinstance(child, Join):
+        # only an inner join lets a conjunct over one side move below it:
+        # under an outer join the filter also removes the NULL-padded rows
+        if child.how != "inner":
+            return f
         left_cols = set(output_columns(child.left, catalog))
         right_cols = set(output_columns(child.right, catalog))
         left_terms, right_terms, keep = [], [], []
@@ -59,24 +64,20 @@ def _push_filter_once(f: Filter, catalog: Catalog) -> tuple[PlanNode, bool]:
             else:
                 keep.append(t)
         if not left_terms and not right_terms:
-            return f, False
+            return f
         new_left = Filter(child.left, and_all(left_terms)) if left_terms else child.left
         new_right = Filter(child.right, and_all(right_terms)) if right_terms else child.right
-        new_join = Join(new_left, new_right, child.left_on, child.right_on,
-                        how=child.how, fk_one_to_one=child.fk_one_to_one)
-        if keep:
-            return Filter(new_join, and_all(keep)), True
-        return new_join, True
-    if isinstance(child, _PREDICTS):
+        new_join = child.with_children([new_left, new_right])
+        return Filter(new_join, and_all(keep)) if keep else new_join
+    if isinstance(child, Predict):
         # a predicate that does not touch the prediction output commutes
         # with the predict operator
         if child.output_col not in f.predicate.columns():
-            pushed = child.with_children([Filter(child.child, f.predicate)])
-            return pushed, True
-        return f, False
+            return child.with_children([Filter(child.child, f.predicate)])
+        return f
     if isinstance(child, Union):
-        return Union([Filter(c, f.predicate) for c in child.children]), True
-    return f, False
+        return Union([Filter(c, f.predicate) for c in child.children])
+    return f
 
 
 class FilterPushdown(Rule):
@@ -84,102 +85,77 @@ class FilterPushdown(Rule):
 
     name = "filter_pushdown"
 
-    def apply(self, plan: PlanNode, catalog: Catalog) -> tuple[PlanNode, bool]:
-        changed_any = False
+    def rewrite(self, node: PlanNode, catalog: Catalog) -> PlanNode:
+        if isinstance(node, Filter):
+            pushed = _push_filter_once(node, catalog)
+            if pushed is not node:
+                # the push may expose further pushes below
+                return transform_bottom_up(pushed, lambda n: self.rewrite(n, catalog))
+        return node
 
-        def rewrite(node: PlanNode) -> PlanNode:
-            nonlocal changed_any
-            new_children = [rewrite(c) for c in node.children]
-            if new_children != node.children:
-                node = node.with_children(new_children)
-            if isinstance(node, Filter):
-                node2, changed = _push_filter_once(node, catalog)
-                if changed:
-                    changed_any = True
-                    # the push may expose further pushes below: recurse
-                    return rewrite(node2)
+
+def _prune(node: PlanNode, required: set[str] | None, catalog: Catalog) -> PlanNode:
+    """Rewrite ``node`` so it produces (at least) the ``required``
+    columns, None meaning all of them. Returns ``node`` itself when
+    nothing below it could be pruned."""
+    if isinstance(node, Project):
+        kept = node.exprs
+        if required is not None:
+            # keep at least one column for schema sanity
+            kept = [(n, e) for n, e in node.exprs if n in required] or node.exprs[:1]
+        child = node.child
+        if not isinstance(child, Scan):  # a Project over a Scan already prunes it
+            child = _prune(child, set().union(*(e.columns() for _, e in kept)), catalog)
+        if isinstance(child, Project) and all(isinstance(e, Col) for _, e in kept):
+            # collapse: a Project that only selects (or renames) columns
+            # of the Project below it is that Project, narrowed
+            inner = dict(child.exprs)
+            return Project(child.child, [(n, inner[e.name]) for n, e in kept])
+        if child is node.child and len(kept) == len(node.exprs):
             return node
-
-        return rewrite(plan), changed_any
+        return Project(child, kept)
+    if isinstance(node, Filter):
+        child_req = None if required is None else required | node.predicate.columns()
+        return node.with_children([_prune(node.child, child_req, catalog)])
+    if isinstance(node, Predict):
+        child_req = None if required is None else (required - {node.output_col}) | set(node.input_cols)
+        return node.with_children([_prune(node.child, child_req, catalog)])
+    if isinstance(node, Union):
+        return node.with_children([_prune(c, required, catalog) for c in node.children])
+    if isinstance(node, Join) and required is not None:
+        left_cols = set(output_columns(node.left, catalog))
+        right_cols = set(output_columns(node.right, catalog))
+        right_used = (required & right_cols) - {node.right_on, node.left_on}
+        if node.fk_one_to_one and not right_used:
+            return _prune(node.left, required, catalog)
+        return node.with_children([
+            _prune(node.left, (required & left_cols) | {node.left_on}, catalog),
+            _prune(node.right, (required & right_cols) | {node.right_on}, catalog),
+        ])
+    if isinstance(node, Scan):
+        schema = catalog.schemas[node.table]
+        if required is not None and set(schema) - required:
+            cols = [c for c in schema if c in required] or schema[:1]
+            return Project(node, [(c, Col(c)) for c in cols])
+        return node
+    # a UDF's column use is unknown; below an unpruned Join everything
+    # is required too
+    return node.with_children([_prune(c, None, catalog) for c in node.children])
 
 
 class PruneColumns(Rule):
-    """Top-down required-column analysis: trims projections, inserts
-    pruned Projects over Scans, and eliminates 1:1 joins whose right
-    side contributes nothing but its key."""
+    """Top-down required-column analysis: trims projections, collapses a
+    column-selecting Project into the Project below it, inserts pruned
+    Projects over Scans, and eliminates 1:1 joins whose right side
+    contributes nothing but its key."""
 
     name = "prune_columns"
 
     def apply(self, plan: PlanNode, catalog: Catalog) -> tuple[PlanNode, bool]:
-        changed = False
-
-        def rewrite(node: PlanNode, required: set[str] | None) -> PlanNode:
-            nonlocal changed
-            if isinstance(node, Project):
-                if required is None:
-                    kept = node.exprs
-                else:
-                    kept = [(n, e) for n, e in node.exprs if n in required]
-                    if not kept:  # keep at least one column for schema sanity
-                        kept = node.exprs[:1]
-                child_req = set()
-                for _, e in kept:
-                    child_req |= e.columns()
-                new_child = rewrite(node.child, child_req)
-                if len(kept) != len(node.exprs):
-                    changed = True
-                return Project(new_child, kept)
-            if isinstance(node, Filter):
-                child_req = None if required is None else required | node.predicate.columns()
-                return Filter(rewrite(node.child, child_req), node.predicate)
-            if isinstance(node, _PREDICTS):
-                ins = set(node.input_cols)
-                child_req = (
-                    None
-                    if required is None
-                    else (required - {node.output_col}) | ins
-                )
-                return node.with_children([rewrite(node.child, child_req)])
-            if isinstance(node, UDFNode):
-                # unknown column use: everything below stays required
-                return node.with_children([rewrite(node.child, None)])
-            if isinstance(node, Union):
-                return Union([rewrite(c, required) for c in node.children])
-            if isinstance(node, Join):
-                left_cols = set(output_columns(node.left, catalog))
-                right_cols = set(output_columns(node.right, catalog))
-                if required is not None:
-                    right_used = (required & right_cols) - {node.right_on, node.left_on}
-                    if node.fk_one_to_one and not right_used:
-                        changed = True
-                        return rewrite(node.left, required)
-                    lr = (required & left_cols) | {node.left_on}
-                    rr = (required & right_cols) | {node.right_on}
-                else:
-                    lr = rr = None
-                return Join(
-                    rewrite(node.left, lr),
-                    rewrite(node.right, rr),
-                    node.left_on,
-                    node.right_on,
-                    how=node.how,
-                    fk_one_to_one=node.fk_one_to_one,
-                )
-            if isinstance(node, Scan):
-                schema = catalog.schemas[node.table]
-                if required is not None and set(schema) - required:
-                    cols = [c for c in schema if c in required]
-                    if not cols:
-                        cols = schema[:1]
-                    changed = True
-                    return Project(Scan(node.table), [(c, Col(c)) for c in cols])
-                return node
-            return node.with_children([rewrite(c, None) for c in node.children])
-
         # the root's own output is fully required (required=None); pruning
         # starts propagating at the topmost Project/Predict node.
-        new_plan = rewrite(plan, None)
-        return new_plan, changed
+        new = _prune(plan, None, catalog)
+        return new, new is not plan
 
 
 def gather_constraints(node: PlanNode) -> dict:
@@ -216,7 +192,7 @@ def gather_constraints(node: PlanNode) -> dict:
         return out
     if isinstance(node, Join):
         return merge(gather_constraints(node.left), gather_constraints(node.right))
-    if isinstance(node, _PREDICTS):
+    if isinstance(node, Predict):
         return gather_constraints(node.child)
     if isinstance(node, UDFNode):
         return {}  # UDF may rewrite anything: no guarantees survive

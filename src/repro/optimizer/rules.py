@@ -4,17 +4,27 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.ir import PlanNode
-from repro.ir.plan import Catalog
+from repro.ir.plan import Catalog, transform_bottom_up
 
 
 class Rule:
     """A plan rewrite. ``apply`` returns (new plan, changed?). Rules
-    must be semantics-preserving on the query's output columns."""
+    must be semantics-preserving on the query's output columns.
+
+    A rule defines ``rewrite``, which rewrites one node and returns the
+    node itself where the rule does not apply; ``apply`` runs it over
+    the plan bottom-up. Nothing changed exactly when the same plan
+    object comes back. A rule that needs a whole-plan pass overrides
+    ``apply`` instead (``PruneColumns`` runs top-down)."""
 
     name: str = "rule"
 
+    def rewrite(self, node: PlanNode, catalog: Catalog) -> PlanNode:
+        return node
+
     def apply(self, plan: PlanNode, catalog: Catalog) -> tuple[PlanNode, bool]:
-        raise NotImplementedError
+        new = transform_bottom_up(plan, lambda n: self.rewrite(n, catalog))
+        return new, new is not plan
 
 
 @dataclass

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import copy
 
-from repro.ir import Cmp, Col, Filter, Lit, Not, PlanNode, Union
+from repro.ir import Cmp, Col, Filter, IsNull, Lit, Not, Or, PlanNode, Union, walk
 from repro.ir.ops import MLPredict
 from repro.ir.plan import Catalog
 from repro.miniml.pipeline import Pipeline
@@ -44,38 +44,30 @@ def split_predict(node: MLPredict) -> Union | None:
     left.child = Filter(node.child, pred)
     left.pipeline = left_pipe
     right = copy.copy(node)
-    right.child = Filter(node.child, Not(pred))
+    # a NULL split value fails both comparisons; the tree sends it right
+    right.child = Filter(node.child, Or(Not(pred), IsNull(Col(col))))
     right.pipeline = right_pipe
     return Union([left, right])
 
 
 class ModelQuerySplitting(Rule):
-    """Split every splittable tree MLPredict once (one root split per
-    optimizer sweep; repeated sweeps split deeper)."""
+    """Split tree MLPredicts at their root while the plan holds fewer
+    than ``max_splits`` Unions: a sweep under that budget splits every
+    splittable one, and further sweeps split the branches deeper. The
+    budget is read off the plan, so the rule keeps no state between
+    ``optimize()`` calls."""
 
     name = "model_query_splitting"
 
     def __init__(self, max_splits: int = 1):
         self.max_splits = max_splits
-        self._done = 0
+
+    def rewrite(self, node: PlanNode, catalog: Catalog) -> PlanNode:
+        if isinstance(node, MLPredict):
+            return split_predict(node) or node
+        return node
 
     def apply(self, plan: PlanNode, catalog: Catalog) -> tuple[PlanNode, bool]:
-        changed_any = False
-
-        def rewrite(node: PlanNode) -> PlanNode:
-            nonlocal changed_any
-            new_children = [rewrite(c) for c in node.children]
-            if new_children != node.children:
-                node = node.with_children(new_children)
-            if (
-                isinstance(node, MLPredict)
-                and self._done < self.max_splits
-            ):
-                split = split_predict(node)
-                if split is not None:
-                    self._done += 1
-                    changed_any = True
-                    return split
-            return node
-
-        return rewrite(plan), changed_any
+        if sum(isinstance(n, Union) for n in walk(plan)) >= self.max_splits:
+            return plan, False
+        return super().apply(plan, catalog)

@@ -16,18 +16,7 @@ from functools import reduce
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import DoubleType, StructField, StructType
 
-from repro.ir import (
-    Filter,
-    Join,
-    PlanNode,
-    Project,
-    Scan,
-    UDFNode,
-    Union,
-)
-from repro.ir.ops import ClusteredPredict, MLPredict, NNPredict
-
-_PREDICTS = (MLPredict, NNPredict, ClusteredPredict)
+from repro.ir import Filter, Join, PlanNode, Predict, Project, Scan, UDFNode, Union
 
 
 def _predict_map_fn(node):
@@ -70,7 +59,7 @@ def to_dataframe(plan: PlanNode, spark: SparkSession, tables: dict[str, DataFram
             lambda a, b: a.unionByName(b),
             (to_dataframe(c, spark, tables) for c in plan.children),
         )
-    if isinstance(plan, _PREDICTS):
+    if isinstance(plan, Predict):
         child = to_dataframe(plan.child, spark, tables)
         schema = StructType(
             list(child.schema.fields) + [StructField(plan.output_col, DoubleType())]

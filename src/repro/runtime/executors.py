@@ -29,28 +29,8 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.types import DoubleType, StructField, StructType
 
+from repro.onnxlite.convert import graph_prediction
 from repro.onnxlite.session import InferenceSession, get_cached_session
-
-
-def _output_from(out: dict, kind: str, classes) -> np.ndarray:
-    """Map graph outputs to the requested prediction flavour (same
-    contract as ``NNPredict.predict_pandas``)."""
-    if "value" in out:
-        v = out["value"]
-        if kind == "label":
-            if classes is not None:
-                return np.asarray(classes, dtype=np.float64)[np.argmax(v, axis=1)]
-            return v[:, 0]
-        if kind == "proba":
-            return v[:, 1]
-        raise ValueError(kind)
-    if kind == "proba":
-        return out["proba"]
-    if kind == "score":
-        return out["score"]
-    if kind == "label":
-        return (out["score"] > 0).astype(np.float64)
-    raise ValueError(kind)
 
 
 def raven_inprocess(
@@ -68,7 +48,7 @@ def raven_inprocess(
             out = pdf.copy()
             if len(pdf):
                 res = sess.run(_feat.transform_codes(pdf))
-                out[output_col] = _output_from(res, _kind, _classes)
+                out[output_col] = graph_prediction(res, _kind, _classes)
             else:
                 out[output_col] = []
             yield out
@@ -83,7 +63,7 @@ def ort_standalone(
     process (the Fig. 3 "ORT" bars)."""
     sess = InferenceSession(model_path)  # cold: load + graph optimize
     out = sess.run(featurizer.transform_codes(pdf))
-    return _output_from(out, kind, classes)
+    return graph_prediction(out, kind, classes)
 
 
 def raven_ext(

@@ -15,8 +15,8 @@ def main(task_path: str, in_path: str, out_path: str) -> None:
     import numpy as np
     import pandas as pd
 
+    from repro.onnxlite.convert import graph_prediction
     from repro.onnxlite.session import InferenceSession
-    from repro.runtime.executors import _output_from
 
     with open(task_path, "rb") as f:
         task = pickle.load(f)
@@ -28,7 +28,7 @@ def main(task_path: str, in_path: str, out_path: str) -> None:
     parts = []
     for s in range(0, len(pdf), 50_000):
         out = sess.run(feat.transform_codes(pdf.iloc[s : s + 50_000]))
-        parts.append(_output_from(out, task["kind"], task["classes"]))
+        parts.append(graph_prediction(out, task["kind"], task["classes"]))
     np.save(out_path, np.concatenate(parts))
 
 

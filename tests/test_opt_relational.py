@@ -71,12 +71,32 @@ class TestFilterPushdown:
 
     def test_filter_through_passthrough_project(self, catalog):
         plan = Filter(
-            Project(Scan("patient_info"), [("age", Col("age")), ("pid", Col("pid"))]),
+            Project(_join3(), [("age", Col("age")), ("pid", Col("pid"))]),
             Cmp(">", Col("age"), Lit(30)),
         )
         out, changed = FilterPushdown().apply(plan, catalog)
         assert changed
-        assert isinstance(out, Project) and isinstance(out.child, Filter)
+        assert isinstance(out, Project) and isinstance(out.child, Join)
+        (f,) = [n for n in walk(out) if isinstance(n, Filter)]
+        assert isinstance(f.child, Scan) and f.child.table == "patient_info"
+
+    def test_filter_stays_above_scan_pruning_project(self, catalog):
+        # pushing below a Project that only prunes a Scan gains nothing,
+        # and PruneColumns would wrap the Scan again on the next sweep
+        plan = Filter(
+            Project(Scan("patient_info"), [("age", Col("age")), ("pid", Col("pid"))]),
+            Cmp(">", Col("age"), Lit(30)),
+        )
+        out, changed = FilterPushdown().apply(plan, catalog)
+        assert not changed and out is plan
+
+    def test_filter_not_pushed_through_left_join(self, catalog):
+        pred = And([Cmp("=", Col("pregnant"), Lit(1)), Cmp(">", Col("bp"), Lit(120))])
+        plan = Filter(
+            Join(Scan("patient_info"), Scan("blood_tests"), "pid", "pid", how="left"), pred
+        )
+        out, changed = FilterPushdown().apply(plan, catalog)
+        assert not changed and out is plan
 
     def test_filter_blocked_by_renaming_project(self, catalog):
         plan = Filter(
@@ -135,12 +155,33 @@ class TestFilterPushdown:
 
 class TestPruneColumns:
     def test_scan_projection_inserted(self, catalog):
-        plan = Project(Scan("patient_info"), [("age", Col("age"))])
+        plan = Project(
+            Filter(Scan("patient_info"), Cmp("=", Col("pregnant"), Lit(1))),
+            [("age", Col("age"))],
+        )
         out, changed = PruneColumns().apply(plan, catalog)
         assert changed
-        inner = out.child
-        assert isinstance(inner, Project)
-        assert inner.output_names == ["age"]
+        inner = out.child.child
+        assert isinstance(inner, Project) and isinstance(inner.child, Scan)
+        assert inner.output_names == ["age", "pregnant"]
+        again, changed = PruneColumns().apply(out, catalog)
+        assert not changed and again is out
+
+    def test_project_over_scan_not_rewrapped(self, catalog):
+        plan = Project(Scan("patient_info"), [("age", Col("age"))])
+        out, changed = PruneColumns().apply(plan, catalog)
+        assert not changed and out is plan
+
+    def test_column_selecting_project_collapses(self, catalog):
+        inner = Project(_join3(), [("pid", Col("pid")), ("age", Col("age"))])
+        plan = Project(inner, [("years", Col("age"))])
+        out, changed = PruneColumns().apply(plan, catalog)
+        assert changed
+        assert out.exprs == [("years", Col("age"))]
+        assert not any(
+            isinstance(n, Project) and isinstance(n.child, Project) for n in walk(out)
+        )
+        assert {n.table for n in walk(out) if isinstance(n, Scan)} == {"patient_info"}
 
     def test_join_elimination_when_right_unused(self, catalog):
         plan = Project(_join3(), [("age", Col("age")), ("bp", Col("bp"))])

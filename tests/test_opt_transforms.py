@@ -12,6 +12,7 @@ from repro.ir import (
     Lit,
     MLPredict,
     NNPredict,
+    Project,
     Scan,
     Union,
     walk,
@@ -25,10 +26,14 @@ from repro.miniml import (
     RandomForest,
     TableFeaturizer,
 )
+from repro.optimizer import CrossOptimizer
 from repro.optimizer.clustering import compile_clustered, to_clustered_predict
+from repro.optimizer.inlining import tree_to_sql
 from repro.optimizer.nn_translate import NNTranslation, translate_predict
 from repro.optimizer.pruning import PredicateBasedModelPruning
 from repro.optimizer.splitting import ModelQuerySplitting, split_predict
+from repro.oracle import assert_equivalent
+from repro.runtime.codegen import to_dataframe
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +214,31 @@ class TestModelQuerySplitting:
         assert changed
         out2, changed2 = rule.apply(out, catalog)
         assert not changed2
+
+    def test_one_rule_object_splits_two_plans(self, tree_pipe):
+        catalog = (Catalog().add_table("t", hospital.FEATURES, set())
+                   .add_table("u", hospital.FEATURES, set()))
+        opt = CrossOptimizer(rules=[ModelQuerySplitting()])
+        for table in ("t", "u"):
+            report = opt.optimize(MLPredict(Scan(table), "m", tree_pipe, "pred"), catalog)
+            assert report.applied == ["model_query_splitting"]
+            assert isinstance(report.plan, Union)
+
+    def test_split_keeps_null_rows(self, spark, tree_pipe, hosp):
+        """A NULL split value fails both ``x <= t`` and ``NOT (x <= t)``;
+        the UNION must still score it, on the right branch as the tree
+        does (the oracle runs the unsplit tree as a CASE expression)."""
+        u = split_predict(MLPredict(Scan("t"), "m", tree_pipe, "pred"))
+        (col,) = u.children[0].child.predicate.columns()
+        pdf = hosp[["pid"] + hospital.FEATURES].head(300).astype({col: float})
+        pdf.loc[pdf.index[:20], col] = np.nan  # DuckDB reads NaN as NULL
+        # a nullable column makes Spark read NULL, not NaN
+        t = spark.createDataFrame(pdf.astype({col: "Float64"}))
+        assert t.where(f"{col} IS NULL").count() == 20
+        plan = Project(u, [("pid", Col("pid")), ("pred", Col("pred"))])
+        df = to_dataframe(plan, spark, {"t": t})
+        case = tree_to_sql(tree_pipe.model, tree_pipe.featurizer)
+        assert_equivalent(df, f"SELECT pid, {case} AS pred FROM t", t=pdf)
 
     def test_split_then_prune_shrinks_branches(self, tree_pipe):
         """The §2 cascade: split → each branch's filter prunes its model."""
