@@ -3,14 +3,13 @@ rows (CPU; GPU rows are not reproducible here)."""
 import pytest
 
 from repro.datasets import hospital
-from repro.experiments.common import chunked_graph_run
 from repro.onnxlite import InferenceSession
-from repro.onnxlite.convert import pipeline_to_graph
+from repro.onnxlite.convert import pipeline_to_graph, predict_frame
 
 
 @pytest.fixture(scope="module")
-def sess(hosp_forest):
-    return InferenceSession(pipeline_to_graph(hosp_forest))
+def graph(hosp_forest):
+    return InferenceSession(pipeline_to_graph(hosp_forest)).graph
 
 
 @pytest.mark.parametrize("n", [10_000, 200_000])
@@ -20,10 +19,10 @@ def test_rf_vectorized(benchmark, hosp_forest, n):
 
 
 @pytest.mark.parametrize("n", [10_000, 200_000])
-def test_rf_nn_cpu(benchmark, hosp_forest, sess, n):
+def test_rf_nn_cpu(benchmark, hosp_forest, graph, n):
     data = hospital.joined_frame(n, seed=105, with_label=False)
     benchmark.pedantic(
-        lambda: chunked_graph_run(sess, hosp_forest.featurizer, data),
+        lambda: predict_frame(graph, hosp_forest.featurizer, data, "proba"),
         rounds=5, warmup_rounds=1,
     )
 

@@ -3,10 +3,11 @@ rows (featurize+RF pipeline compiled to a stored graph model)."""
 import pytest
 
 from repro.datasets import flights
-from repro.experiments.common import chunked_graph_run
-from repro.onnxlite import InferenceSession, clear_session_cache
+from repro.ir import NNPredict, Scan
+from repro.onnxlite import get_cached_session
 from repro.onnxlite.convert import pipeline_to_graph
-from repro.runtime.executors import raven_ext, raven_inprocess
+from repro.runtime.codegen import to_dataframe
+from repro.runtime.executors import ort_standalone, raven_ext
 from repro.runtime.model_store import ModelStore
 from repro.runtime.timing import force
 
@@ -23,7 +24,7 @@ def test_ort_standalone_cold(benchmark, stored, n):
     pipe, path = stored
     pdf = flights.frame(n, seed=106)
     benchmark.pedantic(
-        lambda: chunked_graph_run(InferenceSession(path), pipe.featurizer, pdf),
+        lambda: ort_standalone(pdf, path, pipe.featurizer),
         rounds=3, warmup_rounds=1,
     )
 
@@ -31,10 +32,11 @@ def test_ort_standalone_cold(benchmark, stored, n):
 @pytest.mark.parametrize("n", [10_000, 100_000])
 def test_raven_inprocess_warm(benchmark, spark, stored, n):
     pipe, path = stored
-    clear_session_cache()
     sdf = spark.createDataFrame(flights.frame(n, seed=106)).cache()
     sdf.count()
-    out = raven_inprocess(sdf, path, pipe.featurizer, "p", kind="proba")
+    predict = NNPredict(Scan("flights"), "rf", get_cached_session(path).graph,
+                        pipe.featurizer, "p", kind="proba")
+    out = to_dataframe(predict, spark, {"flights": sdf})
     benchmark.pedantic(lambda: force(out), rounds=3, warmup_rounds=1)
     sdf.unpersist()
 

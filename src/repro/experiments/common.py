@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-import numpy as np
-
 from repro.datasets import flights, hospital
 from repro.miniml import (
     DecisionTree,
@@ -86,14 +84,3 @@ def flights_mlp_pipeline(n_train: int = 50_000, seed: int = 0) -> Pipeline:
         MLPClassifier(hidden=(32, 16), epochs=5, seed=seed),
     ).fit(df, df["delayed"].to_numpy())
 
-
-def chunked_graph_run(session, featurizer, pdf, chunk: int = 50_000) -> np.ndarray:
-    """Run a value-graph over a large frame in bounded-memory chunks
-    (a compiled forest holds a few (rows × trees) tensors per traversal
-    level)."""
-    outs = []
-    for s in range(0, len(pdf), chunk):
-        feeds = featurizer.transform_codes(pdf.iloc[s : s + chunk])
-        outs.append(session.run(feeds))
-    key = "value" if "value" in outs[0] else "proba"
-    return np.concatenate([o[key] for o in outs])

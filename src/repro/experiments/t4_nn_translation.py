@@ -10,9 +10,9 @@ are not reproducible here — no GPU in the container (see DESIGN.md).
 from __future__ import annotations
 
 from repro.datasets import hospital
-from repro.experiments.common import chunked_graph_run, hospital_forest_pipeline
+from repro.experiments.common import hospital_forest_pipeline
 from repro.onnxlite import InferenceSession
-from repro.onnxlite.convert import pipeline_to_graph
+from repro.onnxlite.convert import pipeline_to_graph, predict_frame
 from repro.runtime.timing import measure
 
 SIZES = [1_000, 10_000, 100_000, 1_000_000]
@@ -30,13 +30,13 @@ def run(sizes: list[int] | None = None, n_train: int = 20_000, seed: int = 0,
     forest in onnxlite). The true scikit-learn baseline sits between
     the two brackets; see EXPERIMENTS.md for the shape discussion."""
     pipe = hospital_forest_pipeline(n_train=n_train, seed=seed, n_trees=n_trees)
-    sess = InferenceSession(pipeline_to_graph(pipe))
+    graph = InferenceSession(pipeline_to_graph(pipe)).graph
     rows = []
     for n in sizes or SIZES:
         data = hospital.joined_frame(n, seed=seed + 17, with_label=False)
         rf = measure(lambda: pipe.predict_proba(data), warmup=1, runs=runs)
         nn = measure(
-            lambda: chunked_graph_run(sess, pipe.featurizer, data), warmup=1, runs=runs
+            lambda: predict_frame(graph, pipe.featurizer, data, "proba"), warmup=1, runs=runs
         )
         row = {
             "rows": n,

@@ -12,9 +12,12 @@ scoring operators — ``MLPredict`` (miniml pipeline), ``NNPredict``
 (onnxlite graph) and ``ClusteredPredict`` (per-cluster pipelines) —
 derive from ``Predict``: each appends ``output_col`` to its child's rows
 and implements ``predict_pandas(pdf) -> np.ndarray``, the single place
-its semantics live. The Spark codegen wraps it in ``mapInPandas``; tests
-call it directly; the per-tuple baseline loops it. Code that treats all
-scoring operators alike tests ``isinstance(node, Predict)``.
+its semantics live. The Spark codegen runs it on each Arrow batch and
+tests call it directly (the per-tuple baseline scores rows with
+``Pipeline.predict_row`` instead). ``NNPredict`` scores through
+``onnxlite.convert.predict_frame``, the function the standalone and
+external-runtime modes use too. Code that treats all scoring operators
+alike tests ``isinstance(node, Predict)``.
 
 Nodes are immutable once built: rewrites copy a node before changing it,
 and ``with_children`` returns the node itself when no child changed, so
@@ -29,7 +32,7 @@ import numpy as np
 import pandas as pd
 
 from repro.ir.expr import Expr
-from repro.onnxlite.convert import graph_prediction
+from repro.onnxlite.convert import predict_frame
 
 
 @dataclass(repr=False)
@@ -217,8 +220,7 @@ class NNPredict(Predict):
         return list(self.featurizer.input_cols)
 
     def predict_pandas(self, pdf: pd.DataFrame) -> np.ndarray:
-        out = self.graph.run(self.featurizer.transform_codes(pdf))
-        return graph_prediction(out, self.kind, self.classes)
+        return predict_frame(self.graph, self.featurizer, pdf, self.kind, self.classes)
 
 
 @dataclass(eq=False)

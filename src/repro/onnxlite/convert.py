@@ -233,7 +233,25 @@ def pipeline_to_graph(pipe: Pipeline) -> Graph:
     return g
 
 
-def graph_prediction(out: dict, kind: str, classes=None) -> np.ndarray:
+# rows per featurize→run step: a compiled forest holds a few
+# (rows × trees) tensors per traversal level
+_CHUNK_ROWS = 50_000
+
+
+def predict_frame(graph: Graph, featurizer: TableFeaturizer, pdf, kind: str,
+                  classes=None) -> np.ndarray:
+    """Score the frame ``pdf`` with a compiled pipeline ``graph``: its
+    featurizer's ``transform_codes`` feeds ``graph.run``, whose outputs
+    become the prediction ``kind`` asks for, 50K rows at a time. Every
+    onnxlite scoring path runs through here."""
+    parts = []
+    for s in range(0, len(pdf), _CHUNK_ROWS):
+        out = graph.run(featurizer.transform_codes(pdf.iloc[s : s + _CHUNK_ROWS]))
+        parts.append(_graph_prediction(out, kind, classes))
+    return np.concatenate(parts) if parts else np.empty(0)
+
+
+def _graph_prediction(out: dict, kind: str, classes=None) -> np.ndarray:
     """Map a compiled pipeline's outputs to the prediction ``kind`` asks
     for. Tree/forest graphs emit ``value`` (B, n_out): ``label`` is the
     argmax over ``classes`` (or the regression column), ``proba`` is

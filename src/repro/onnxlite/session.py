@@ -4,9 +4,11 @@
 and optimizes the model (the cold cost); ``run`` executes it on a batch.
 ``get_cached_session`` is the in-DB behaviour the paper highlights in
 Fig. 3(ii): SQL Server caches models and inference sessions across
-queries, so warm queries skip the load entirely. Our Spark executors
-call it from ``mapInPandas`` workers — each executor process keeps its
-own cache, invalidated by file mtime (a model update is a new version).
+queries, so warm queries skip the load entirely. Here the cache lives in
+the process that plans a query (the Spark driver): a query's PREDICT
+takes its graph from the cached session, and codegen ships that graph
+with each task, so Python workers never load a model from disk. Entries
+are keyed by file mtime (a model update is a new version).
 """
 from __future__ import annotations
 
@@ -23,12 +25,9 @@ from repro.onnxlite.serialize import load_graph
 class InferenceSession:
     """Load a model directory and expose ``run(feeds)``."""
 
-    def __init__(self, path_or_graph: str | Graph, do_optimize: bool = True):
-        if isinstance(path_or_graph, Graph):
-            g = path_or_graph
-        else:
-            g = load_graph(path_or_graph)
-        self.graph = optimize(g) if do_optimize else g
+    def __init__(self, path_or_graph: str | Graph):
+        g = path_or_graph if isinstance(path_or_graph, Graph) else load_graph(path_or_graph)
+        self.graph = optimize(g)
         self.graph.validate()
 
     @property

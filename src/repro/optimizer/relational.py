@@ -94,6 +94,13 @@ class FilterPushdown(Rule):
         return node
 
 
+def _prune_below_filter(f: Filter, required: set[str] | None, catalog: Catalog) -> Filter:
+    """``f`` over its input pruned to ``required`` plus the columns the
+    predicate reads."""
+    child_req = None if required is None else required | f.predicate.columns()
+    return f.with_children([_prune(f.child, child_req, catalog)])
+
+
 def _prune(node: PlanNode, required: set[str] | None, catalog: Catalog) -> PlanNode:
     """Rewrite ``node`` so it produces (at least) the ``required``
     columns, None meaning all of them. Returns ``node`` itself when
@@ -103,9 +110,11 @@ def _prune(node: PlanNode, required: set[str] | None, catalog: Catalog) -> PlanN
         if required is not None:
             # keep at least one column for schema sanity
             kept = [(n, e) for n, e in node.exprs if n in required] or node.exprs[:1]
-        child = node.child
-        if not isinstance(child, Scan):  # a Project over a Scan already prunes it
-            child = _prune(child, set().union(*(e.columns() for _, e in kept)), catalog)
+        child, needed = node.child, set().union(*(e.columns() for _, e in kept))
+        if isinstance(child, Filter):  # this Project drops what only the Filter read
+            child = _prune_below_filter(child, needed, catalog)
+        elif not isinstance(child, Scan):  # a Project over a Scan already prunes it
+            child = _prune(child, needed, catalog)
         if isinstance(child, Project) and all(isinstance(e, Col) for _, e in kept):
             # collapse: a Project that only selects (or renames) columns
             # of the Project below it is that Project, narrowed
@@ -115,8 +124,13 @@ def _prune(node: PlanNode, required: set[str] | None, catalog: Catalog) -> PlanN
             return node
         return Project(child, kept)
     if isinstance(node, Filter):
-        child_req = None if required is None else required | node.predicate.columns()
-        return node.with_children([_prune(node.child, child_req, catalog)])
+        new = _prune_below_filter(node, required, catalog)
+        if required is None:
+            return new
+        out = output_columns(new, catalog)
+        if required < set(out):  # pass on only the required columns
+            return Project(new, [(c, Col(c)) for c in out if c in required])
+        return new
     if isinstance(node, Predict):
         child_req = None if required is None else (required - {node.output_col}) | set(node.input_cols)
         return node.with_children([_prune(node.child, child_req, catalog)])

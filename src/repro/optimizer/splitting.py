@@ -15,7 +15,7 @@ import copy
 
 from repro.ir import Cmp, Col, Filter, IsNull, Lit, Not, Or, PlanNode, Union, walk
 from repro.ir.ops import MLPredict
-from repro.ir.plan import Catalog
+from repro.ir.plan import Catalog, transform_bottom_up
 from repro.miniml.pipeline import Pipeline
 from repro.miniml.tree import LEAF, DecisionTree
 from repro.optimizer.inlining import _raw_threshold
@@ -51,23 +51,28 @@ def split_predict(node: MLPredict) -> Union | None:
 
 
 class ModelQuerySplitting(Rule):
-    """Split tree MLPredicts at their root while the plan holds fewer
-    than ``max_splits`` Unions: a sweep under that budget splits every
-    splittable one, and further sweeps split the branches deeper. The
-    budget is read off the plan, so the rule keeps no state between
-    ``optimize()`` calls."""
+    """Split tree MLPredicts at their root, bottom-up, while budget is
+    left: ``max_splits`` less the Unions the plan already holds, less
+    one per split made in this sweep. Further sweeps split the branches
+    deeper until the budget is spent. The budget is read off the plan,
+    so the rule keeps no state between ``optimize()`` calls."""
 
     name = "model_query_splitting"
 
     def __init__(self, max_splits: int = 1):
         self.max_splits = max_splits
 
-    def rewrite(self, node: PlanNode, catalog: Catalog) -> PlanNode:
-        if isinstance(node, MLPredict):
-            return split_predict(node) or node
-        return node
-
     def apply(self, plan: PlanNode, catalog: Catalog) -> tuple[PlanNode, bool]:
-        if sum(isinstance(n, Union) for n in walk(plan)) >= self.max_splits:
-            return plan, False
-        return super().apply(plan, catalog)
+        budget = self.max_splits - sum(isinstance(n, Union) for n in walk(plan))
+
+        def rewrite(node: PlanNode) -> PlanNode:
+            nonlocal budget
+            if budget > 0 and isinstance(node, MLPredict):
+                split = split_predict(node)
+                if split is not None:
+                    budget -= 1
+                    return split
+            return node
+
+        new = transform_bottom_up(plan, rewrite)
+        return new, new is not plan

@@ -1,10 +1,11 @@
-"""The three execution modes compared in Fig. 3, plus the per-tuple
-baseline of §5(v).
+"""The execution modes Fig. 3 compares Raven's in-process PREDICT with,
+plus the per-tuple baseline of §5(v).
 
-* ``raven_inprocess`` — our PREDICT: ``mapInPandas`` over Arrow batches;
-  each Spark python worker scores with a *cached* onnxlite session
-  (``get_cached_session``), so warm queries never reload the model, and
-  Spark parallelizes scan+predict across cores automatically.
+Raven's own PREDICT is not here: it is an ``NNPredict`` node compiled by
+``runtime.codegen`` like any other query, so the Fig. 3 harness times
+the path Raven queries run. All onnxlite modes score through
+``onnxlite.convert.predict_frame``.
+
 * ``ort_standalone`` — standalone engine: a single process that, per
   run, loads the model from disk (cold session, per the paper's
   methodology), featurizes, and scores.
@@ -27,33 +28,10 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
-from pyspark.sql.types import DoubleType, StructField, StructType
+from pyspark.sql.types import DoubleType
 
-from repro.onnxlite.convert import graph_prediction
-from repro.onnxlite.session import InferenceSession, get_cached_session
-
-
-def raven_inprocess(
-    df: DataFrame, model_path: str, featurizer, output_col: str = "prediction",
-    kind: str = "proba", classes=None,
-) -> DataFrame:
-    """In-process PREDICT: cached-session scoring inside Spark workers."""
-    schema = StructType(
-        list(df.schema.fields) + [StructField(output_col, DoubleType())]
-    )
-
-    def fn(batches, _path=model_path, _feat=featurizer, _kind=kind, _classes=classes):
-        sess = get_cached_session(_path)
-        for pdf in batches:
-            out = pdf.copy()
-            if len(pdf):
-                res = sess.run(_feat.transform_codes(pdf))
-                out[output_col] = graph_prediction(res, _kind, _classes)
-            else:
-                out[output_col] = []
-            yield out
-
-    return df.mapInPandas(fn, schema=schema)
+from repro.onnxlite.convert import predict_frame
+from repro.onnxlite.session import InferenceSession
 
 
 def ort_standalone(
@@ -62,8 +40,7 @@ def ort_standalone(
     """Standalone engine run: cold session load + batch inference, one
     process (the Fig. 3 "ORT" bars)."""
     sess = InferenceSession(model_path)  # cold: load + graph optimize
-    out = sess.run(featurizer.transform_codes(pdf))
-    return graph_prediction(out, kind, classes)
+    return predict_frame(sess.graph, featurizer, pdf, kind, classes)
 
 
 def raven_ext(

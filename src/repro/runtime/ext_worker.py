@@ -15,21 +15,15 @@ def main(task_path: str, in_path: str, out_path: str) -> None:
     import numpy as np
     import pandas as pd
 
-    from repro.onnxlite.convert import graph_prediction
+    from repro.onnxlite.convert import predict_frame
     from repro.onnxlite.session import InferenceSession
 
     with open(task_path, "rb") as f:
         task = pickle.load(f)
     pdf = pd.read_parquet(in_path)
     sess = InferenceSession(task["model_path"])
-    feat = task["featurizer"]
-    # bounded-memory chunks: a compiled forest holds a few (rows × trees)
-    # tensors per traversal level
-    parts = []
-    for s in range(0, len(pdf), 50_000):
-        out = sess.run(feat.transform_codes(pdf.iloc[s : s + 50_000]))
-        parts.append(graph_prediction(out, task["kind"], task["classes"]))
-    np.save(out_path, np.concatenate(parts))
+    np.save(out_path, predict_frame(sess.graph, task["featurizer"], pdf, task["kind"],
+                                    task["classes"]))
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from repro.onnxlite.convert import (
     linear_to_graph,
     mlp_to_graph,
     pipeline_to_graph,
+    predict_frame,
     tree_to_graph,
 )
 
@@ -291,6 +292,24 @@ class TestPipelineToGraph:
         sess = InferenceSession(p)
         feeds = pipe.featurizer.transform_codes(df)
         _close(sess.run(feeds)["value"], pipe.model.predict_value(pipe.featurizer.transform(df)))
+
+    def test_predict_frame_chunks_and_kinds(self, monkeypatch):
+        """``predict_frame`` scores chunk by chunk without changing a
+        value and maps each graph's outputs to the kind asked for."""
+        from repro.onnxlite import convert
+
+        forest, df = self._pipe(RandomForest(n_trees=4, max_depth=3, seed=2))
+        logit, _ = self._pipe(LogisticRegressionL1(alpha=0.001))
+        fg, lg = pipeline_to_graph(forest), pipeline_to_graph(logit)
+        monkeypatch.setattr(convert, "_CHUNK_ROWS", 7)
+        assert len(df) % 7
+        _close(predict_frame(fg, forest.featurizer, df, "proba"), forest.predict_proba(df)[:, 1])
+        _close(predict_frame(fg, forest.featurizer, df, "label", forest.model.classes_),
+               forest.predict(df))
+        score = logit.decision_function(df)
+        np.testing.assert_allclose(predict_frame(lg, logit.featurizer, df, "score"), score)
+        np.testing.assert_array_equal(predict_frame(lg, logit.featurizer, df, "label"), score > 0)
+        assert predict_frame(fg, forest.featurizer, df.head(0), "proba").shape == (0,)
 
     def test_unsupported_model_raises(self):
         import pytest

@@ -5,7 +5,9 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.analyzer import parse_inference_query
 from repro.datasets import hospital
+from repro.experiments.common import hospital_tree_pipeline
 from repro.ir import (
     And,
     Catalog,
@@ -22,6 +24,7 @@ from repro.ir import (
     walk,
 )
 from repro.miniml import DecisionTree, Pipeline, TableFeaturizer
+from repro.optimizer import CrossOptimizer, default_rules
 from repro.optimizer.relational import FilterPushdown, PruneColumns, gather_constraints
 from repro.oracle import assert_equivalent
 from repro.runtime.codegen import to_dataframe
@@ -166,6 +169,43 @@ class TestPruneColumns:
         assert inner.output_names == ["age", "pregnant"]
         again, changed = PruneColumns().apply(out, catalog)
         assert not changed and again is out
+
+    def test_filter_only_column_dropped_above_filter(self, spark, catalog):
+        """A column only a Filter reads stops at that Filter, also when
+        the Filter sits under a Join rather than a Project."""
+        f = Filter(Scan("patient_info"), Cmp("=", Col("pregnant"), Lit(1)))
+        j = Join(f, Scan("blood_tests"), "pid", "pid", fk_one_to_one=True)
+        plan = Project(j, [("age", Col("age")), ("bp", Col("bp"))])
+        out, changed = PruneColumns().apply(plan, catalog)
+        assert changed
+        left = out.child.left
+        assert isinstance(left, Project) and left.output_names == ["pid", "age"]
+        assert isinstance(left.child, Filter)
+        again, changed = PruneColumns().apply(out, catalog)
+        assert not changed and again is out
+        t = hospital.tables(300, seed=6)
+        df = to_dataframe(out, spark, {k: spark.createDataFrame(v) for k, v in t.items()})
+        assert_equivalent(
+            df,
+            "SELECT p.age AS age, b.bp AS bp FROM patient_info p "
+            "JOIN blood_tests b ON p.pid = b.pid WHERE p.pregnant = 1",
+            patient_info=t["patient_info"], blood_tests=t["blood_tests"],
+        )
+
+    def test_q1_predict_input_has_no_filter_only_column(self, catalog):
+        """Hospital Q1: predicate-based pruning removes ``pregnant`` from
+        the tree, so the rows the MLPredict scores carry no ``pregnant``."""
+        models = {"los_model": (hospital_tree_pipeline(seed=0), "label")}
+        sql = (
+            "SELECT pid, age, PREDICT(MODEL los_model) AS predicted_los FROM patient_info "
+            "JOIN blood_tests ON pid = pid JOIN prenatal_tests ON pid = pid "
+            "WHERE pregnant = 1 AND predicted_los > 7"
+        )
+        report = CrossOptimizer(default_rules()).optimize(
+            parse_inference_query(sql, catalog, models), catalog)
+        (predict,) = [n for n in walk(report.plan) if isinstance(n, MLPredict)]
+        assert "pregnant" not in predict.input_cols
+        assert "pregnant" not in output_columns(predict.child, catalog)
 
     def test_project_over_scan_not_rewrapped(self, catalog):
         plan = Project(Scan("patient_info"), [("age", Col("age"))])

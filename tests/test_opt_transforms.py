@@ -3,6 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.analyzer import parse_inference_query
 from repro.datasets import flights, hospital
 from repro.ir import (
     Catalog,
@@ -15,6 +16,7 @@ from repro.ir import (
     Project,
     Scan,
     Union,
+    output_columns,
     walk,
 )
 from repro.ir.ops import ClusteredPredict
@@ -214,6 +216,24 @@ class TestModelQuerySplitting:
         assert changed
         out2, changed2 = rule.apply(out, catalog)
         assert not changed2
+
+    def test_max_splits_binds_within_a_sweep(self, tree_pipe):
+        """Two PREDICTs stack two MLPredicts; one sweep may split only
+        one of them when the budget is one split."""
+        catalog = Catalog().add_table("t", ["pid"] + hospital.FEATURES, {"pid"})
+        models = {"m1": (tree_pipe, "label"), "m2": (tree_pipe, "label")}
+        plan = parse_inference_query(
+            "SELECT pid, PREDICT(MODEL m1) AS a, PREDICT(MODEL m2) AS b FROM t", catalog, models
+        )
+        assert sum(isinstance(n, MLPredict) for n in walk(plan)) == 2
+        out, changed = ModelQuerySplitting(max_splits=1).apply(plan, catalog)
+        assert changed
+        assert sum(isinstance(n, Union) for n in walk(out)) == 1
+        report = CrossOptimizer(rules=[ModelQuerySplitting(max_splits=1)]).optimize(
+            plan, catalog)
+        assert report.applied == ["model_query_splitting"]
+        assert sum(isinstance(n, Union) for n in walk(report.plan)) == 1
+        assert output_columns(report.plan, catalog) == ["pid", "a", "b"]
 
     def test_one_rule_object_splits_two_plans(self, tree_pipe):
         catalog = (Catalog().add_table("t", hospital.FEATURES, set())

@@ -4,7 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.datasets import flights, hospital
-from repro.ir import Cmp, Col, Filter, Join, Lit, MLPredict, Project, Scan, Union
+from repro.ir import Cmp, Col, Filter, Join, Lit, MLPredict, NNPredict, Project, Scan, Union
 from repro.miniml import (
     DecisionTree,
     LogisticRegressionL1,
@@ -16,12 +16,7 @@ from repro.onnxlite import clear_session_cache, get_cached_session, save_graph
 from repro.onnxlite.convert import pipeline_to_graph
 from repro.oracle import assert_equivalent
 from repro.runtime import ModelStore, force, measure, to_dataframe
-from repro.runtime.executors import (
-    ort_standalone,
-    per_tuple_predict,
-    raven_ext,
-    raven_inprocess,
-)
+from repro.runtime.executors import ort_standalone, per_tuple_predict, raven_ext
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +147,15 @@ def fl_graph(tmp_path_factory):
     return fl, pipe, store.graph_path("fl")
 
 
+def _codegen_predict(spark, fl, path, featurizer):
+    """Raven's in-process PREDICT over ``fl``: an ``NNPredict`` holding
+    the stored graph, compiled by codegen; P(class 1) by flight_id."""
+    plan = NNPredict(Scan("fl"), "fl", get_cached_session(path).graph, featurizer, "p",
+                     kind="proba")
+    df = to_dataframe(plan, spark, {"fl": spark.createDataFrame(fl)})
+    return df.select("flight_id", "p").toPandas().sort_values("flight_id")["p"].to_numpy()
+
+
 class TestExecutionModes:
     def test_ort_standalone_matches_pipeline(self, fl_graph):
         fl, pipe, path = fl_graph
@@ -161,11 +165,9 @@ class TestExecutionModes:
     def test_raven_inprocess_matches(self, spark, fl_graph):
         clear_session_cache()
         fl, pipe, path = fl_graph
-        df = spark.createDataFrame(fl)
-        out_df = raven_inprocess(df, path, pipe.featurizer, "p", kind="proba")
-        got = out_df.select("flight_id", "p").toPandas().sort_values("flight_id")["p"].to_numpy()
+        got = _codegen_predict(spark, fl, path, pipe.featurizer)
         want = pipe.predict_proba(fl.sort_values("flight_id"))[:, 1]
-        np.testing.assert_allclose(got, want)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_raven_ext_matches(self, fl_graph):
         fl, pipe, path = fl_graph
@@ -188,7 +190,7 @@ class TestExecutionModes:
 
     def test_traversal_forest_roundtrip(self, spark, tmp_path):
         # a tree-traversal forest graph through the on-disk format, the
-        # session cache and both in-process executors
+        # session cache, the standalone engine and Raven's codegen PREDICT
         fl = flights.frame(2000, seed=9)
         pipe = Pipeline(
             TableFeaturizer(numeric_cols=flights.NUMERIC, categorical_cols=flights.CATEGORICAL),
@@ -206,9 +208,7 @@ class TestExecutionModes:
         want = pipe.predict_proba(fl)[:, 1]
         np.testing.assert_allclose(ort_standalone(fl, path, pipe.featurizer), want,
                                    rtol=0, atol=1e-12)
-        out_df = raven_inprocess(spark.createDataFrame(fl), path, pipe.featurizer, "p")
-        got = out_df.select("flight_id", "p").toPandas().sort_values("flight_id")
         np.testing.assert_allclose(
-            got["p"].to_numpy(), pipe.predict_proba(fl.sort_values("flight_id"))[:, 1],
-            rtol=0, atol=1e-12,
+            _codegen_predict(spark, fl, path, pipe.featurizer),
+            pipe.predict_proba(fl.sort_values("flight_id"))[:, 1], rtol=0, atol=1e-12,
         )
